@@ -19,6 +19,13 @@ namespace {
 // header before giving up and classifying from the threshold.
 constexpr std::size_t kMaxHeaderWait = 8192;
 
+// tau_hash / tau_CDBsearch sampling: the engine times the live flow_id +
+// CDB lookup of its first packet and of one packet in every
+// kTauSampleEvery after it; each sample moves the running estimates
+// toward itself by kTauSampleWeight.
+constexpr std::uint64_t kTauSampleEvery = 64;
+constexpr double kTauSampleWeight = 1.0 / 16.0;
+
 std::shared_ptr<const FlowNatureModel> require_model(
     std::shared_ptr<const FlowNatureModel> model) {
   CHECK(model != nullptr) << "engine needs a non-null model";
@@ -85,9 +92,10 @@ PacketAction Iustitia::on_packet(const net::Packet& packet) {
 }
 
 // Real-time contract: the steady state is the CDB-hit return below —
-// hash, one guarded table probe, counter bumps, no heap.  Everything
-// after the "Unknown flow" comment is the per-flow setup/classification
-// cold branch, documented by one AllowScope.
+// hash, one guarded table probe, counter bumps, no heap, and clock reads
+// only on the sampled tau packet.  Everything after the "Unknown flow"
+// comment is the per-flow setup/classification cold branch, documented
+// by one AllowScope.
 // analyze: hotpath
 PacketAction Iustitia::on_packet(const net::Packet& packet,
                                  datagen::FileClass* label_out) {
@@ -95,8 +103,25 @@ PacketAction Iustitia::on_packet(const net::Packet& packet,
   if (packet.is_data()) ++stats_.data_packets;
   const double now = packet.timestamp;
 
-  const net::FlowId id = net::flow_id(packet.key);
-  const std::optional<datagen::FileClass> known = cdb_.lookup(id, now);
+  net::FlowId id;
+  std::optional<datagen::FileClass> known;
+  if ((stats_.packets - 1) % kTauSampleEvery == 0) {
+    // tau_hash / tau_CDBsearch (Fig. 1, Table 3): time the live stages
+    // of a sampled packet (three clock reads); every other packet reads
+    // no clock at all.
+    util::SplitStopwatch tau;
+    id = net::flow_id(packet.key);
+    tau.mark();
+    known = cdb_.lookup(id, now);
+    const double cdb_micros = tau.second_micros();
+    // The first packet is always sampled: it seeds the estimates.
+    const double weight = stats_.packets == 1 ? 1.0 : kTauSampleWeight;
+    tau_hash_micros_ += weight * (tau.first_micros() - tau_hash_micros_);
+    tau_cdb_micros_ += weight * (cdb_micros - tau_cdb_micros_);
+  } else {
+    id = net::flow_id(packet.key);
+    known = cdb_.lookup(id, now);
+  }
 
   if (known.has_value()) {
     DCHECK_LT(static_cast<std::size_t>(*known), stats_.queue_packets.size());
@@ -128,19 +153,6 @@ PacketAction Iustitia::on_packet(const net::Packet& packet,
     }
   }
 
-  // tau_hash / tau_CDBsearch (Fig. 1, Table 3): measured here on the
-  // miss path — the only consumer — by re-running the two stages under a
-  // split stopwatch.  flow_id is pure and peek() is the read-only twin
-  // of the probe lookup() just did, so the replays cost exactly what the
-  // live calls cost; keeping the timers off the CDB-hit lane saves three
-  // steady-clock reads (tens of ns each) on the per-packet fast path.
-  util::SplitStopwatch tau;
-  const net::FlowId rehash = net::flow_id(packet.key);
-  tau.mark();
-  const bool still_absent = !cdb_.peek(rehash).has_value();
-  const double cdb_micros = tau.second_micros();
-  const double hash_micros = tau.first_micros();
-  DCHECK(still_absent) << "flow appeared in the CDB between lookup and peek";
   auto [it, inserted] = pending_.try_emplace(packet.key);
   PendingFlow& flow = it->second;
   if (inserted) {
@@ -150,9 +162,9 @@ PacketAction Iustitia::on_packet(const net::Packet& packet,
           rng_.next_below(options_.random_skip_max + 1));
     }
   }
-  flow.hash_micros += hash_micros;
-  flow.cdb_micros += cdb_micros;
-  ++flow.measures;
+  // Each miss-lane packet is charged the sampled estimates (Fig. 10).
+  flow.hash_micros += tau_hash_micros_;
+  flow.cdb_micros += tau_cdb_micros_;
   flow.last_packet_at = now;
 
   PacketAction action = PacketAction::kIgnored;
@@ -171,7 +183,7 @@ PacketAction Iustitia::on_packet(const net::Packet& packet,
 
   if (resolve_skip(flow) && buffer_full(flow)) {
     const datagen::FileClass label =
-        classify_flow(packet.key, flow, now, /*timed_out=*/false);
+        classify_flow(packet.key, id, flow, now, /*timed_out=*/false);
     if (label_out != nullptr) *label_out = label;
     pending_.erase(it);
     action = PacketAction::kClassifiedNow;
@@ -180,7 +192,7 @@ PacketAction Iustitia::on_packet(const net::Packet& packet,
     // Flow ended before the buffer filled: classify on what we have.
     flow.skip_resolved = true;
     const datagen::FileClass label =
-        classify_flow(packet.key, flow, now, /*timed_out=*/true);
+        classify_flow(packet.key, id, flow, now, /*timed_out=*/true);
     if (label_out != nullptr) *label_out = label;
     pending_.erase(it);
     action = PacketAction::kClassifiedNow;
@@ -194,6 +206,7 @@ PacketAction Iustitia::on_packet(const net::Packet& packet,
 }
 
 datagen::FileClass Iustitia::classify_flow(const net::FlowKey& key,
+                                           const net::FlowId& id,
                                            PendingFlow& flow, double now,
                                            bool timed_out) {
   const std::size_t available =
@@ -209,7 +222,7 @@ datagen::FileClass Iustitia::classify_flow(const net::FlowKey& key,
   ExtractionResult extraction = extractor_.extract(window);
   const datagen::FileClass label = model_->classify_features(extraction.features);
 
-  cdb_.insert(net::flow_id(key), label, now);
+  cdb_.insert(id, label, now);
   cdb_.maybe_purge(now);
 
   FlowDelayRecord record;
@@ -245,7 +258,8 @@ std::size_t Iustitia::flush_idle(double now) {
       flow.skip_resolved = true;
       if (flow.skip > flow.raw.size()) flow.skip = 0;  // header never came
       if (flow.raw.size() > flow.skip) {
-        classify_flow(it->first, flow, now, /*timed_out=*/true);
+        classify_flow(it->first, net::flow_id(it->first), flow, now,
+                      /*timed_out=*/true);
         ++flushed;
         it = pending_.erase(it);
         continue;
@@ -263,7 +277,8 @@ std::size_t Iustitia::flush_all() {
     flow.skip_resolved = true;
     if (flow.skip >= flow.raw.size()) flow.skip = 0;
     if (flow.raw.size() > flow.skip) {
-      classify_flow(it->first, flow, flow.last_packet_at, /*timed_out=*/true);
+      classify_flow(it->first, net::flow_id(it->first), flow,
+                    flow.last_packet_at, /*timed_out=*/true);
       ++flushed;
       it = pending_.erase(it);
     } else {

@@ -44,8 +44,10 @@ struct FlowDelayRecord {
   double classified_at = 0.0;     // trace time of classification
   double tau_b = 0.0;             // buffer-fill time in trace seconds
   std::size_t packets_to_fill = 0;  // c: data packets needed to fill b
-  double hash_micros = 0.0;       // measured SHA-1 time
-  double cdb_micros = 0.0;        // measured CDB search time
+  // tau_hash / tau_CDBsearch: the engine's sampled per-packet estimates,
+  // summed over the flow's unclassified packets.
+  double hash_micros = 0.0;       // SHA-1 time
+  double cdb_micros = 0.0;        // CDB search time
   double extract_micros = 0.0;    // entropy extraction + inference time
   std::size_t buffered_bytes = 0; // bytes actually classified on
 };
@@ -145,9 +147,8 @@ class Iustitia {
     double first_data_at = 0.0;
     double last_packet_at = 0.0;
     std::size_t data_packets = 0;
-    double hash_micros = 0.0;        // accumulated measurement samples
+    double hash_micros = 0.0;        // FlowDelayRecord's sums so far
     double cdb_micros = 0.0;
-    std::size_t measures = 0;
   };
 
   // Tries to resolve the header-skip offset; returns true when resolved.
@@ -163,7 +164,9 @@ class Iustitia {
                             : std::min(buffer_cap_, options_.buffer_size);
   }
 
-  datagen::FileClass classify_flow(const net::FlowKey& key, PendingFlow& flow,
+  // `id` is net::flow_id(key), which the caller already holds.
+  datagen::FileClass classify_flow(const net::FlowKey& key,
+                                   const net::FlowId& id, PendingFlow& flow,
                                    double now, bool timed_out);
 
   std::shared_ptr<const FlowNatureModel> model_;
@@ -174,6 +177,9 @@ class Iustitia {
   std::vector<FlowDelayRecord> delays_;
   EngineStats stats_;
   std::uint64_t packets_since_flush_ = 0;
+  // Running tau_hash / tau_CDBsearch estimates (microseconds per packet).
+  double tau_hash_micros_ = 0.0;
+  double tau_cdb_micros_ = 0.0;
   util::Rng rng_;  // per-flow random skip (Section 4.6 defense)
   // Degraded-mode state (owner-thread writes via the setters above).
   std::size_t buffer_cap_ = 0;              // 0 = configured budget

@@ -61,12 +61,18 @@ std::size_t OutputQueues::enqueue_burst(std::span<QueuedPacket> batch) {
 }
 
 std::size_t OutputQueues::drain_all() {
-  util::MutexLock lock(mu_);
-  std::size_t discarded = 0;
-  for (auto& queue : queues_) {
-    discarded += queue.size();
-    queue.clear();
+  // Swap the class queues out under the lock and free the taken packets
+  // after releasing it: each payload was allocated on another thread, so
+  // retiring it is the slow part, and producers must not wait for it.
+  std::array<std::deque<QueuedPacket>, 3> taken;
+  {
+    util::MutexLock lock(mu_);
+    for (std::size_t i = 0; i < queues_.size(); ++i) {
+      taken[i].swap(queues_[i]);
+    }
   }
+  std::size_t discarded = 0;
+  for (const auto& queue : taken) discarded += queue.size();
   return discarded;
 }
 

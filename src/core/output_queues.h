@@ -69,9 +69,12 @@ class OutputQueues {
   std::optional<QueuedPacket> dequeue_priority(
       std::span<const datagen::FileClass> priority_order);
 
-  // Empties every class queue (shutdown path: the consumers are gone and
-  // whatever is still enqueued will never be drained).  Returns the number
-  // of packets discarded.  Counters and high-water marks are preserved.
+  // Empties every class queue and returns the number of packets
+  // discarded.  Serves the shutdown path (whatever is still enqueued will
+  // never be drained) and bulk consumers that only count deliveries.  The
+  // queues are taken under the lock but their packets are freed after it
+  // is released, so concurrent enqueues never wait on payload frees.
+  // Counters and high-water marks are preserved.
   std::size_t drain_all();
 
   std::size_t depth(datagen::FileClass label) const;

@@ -88,7 +88,9 @@ std::string render_prometheus(const runtime::MetricsSnapshot& snap) {
   }
 
   header(out, "iustitia_engine_latency_packets_total",
-         "Per-packet engine latency samples recorded.", "counter");
+         "Packets whose engine latency was timed: a sample of one in "
+         "latency_sample_every, not a count of all packets.",
+         "counter");
   out << "iustitia_engine_latency_packets_total " << snap.engine_latency.total
       << '\n';
   header(out, "iustitia_engine_latency_mean_microseconds",

@@ -74,8 +74,10 @@ struct RuntimeOptions {
   std::size_t burst = 32;
   // Per-nature output queue bound (packets; 0 = unbounded).
   std::size_t output_queue_capacity = 4096;
-  // Record every Nth per-packet engine latency sample (1 = all packets).
-  std::size_t latency_sample_every = 1;
+  // Time every Nth packet's engine call into the latency histogram
+  // (1 = all packets, 0 = none).  The histogram and its count are sampled:
+  // each timed packet costs two serializing clock reads.
+  std::size_t latency_sample_every = 16;
   // Pin worker i to CPU (i mod hardware_concurrency).  Linux only; a
   // no-op elsewhere.  Off by default: pinning helps steady-state serving
   // but hurts on shared/oversubscribed hosts.

@@ -153,6 +153,94 @@ TEST(ConcurrencyStress, QueuesBalanceUnderProducersAndConsumers) {
   EXPECT_GT(dropped, 0u) << "capacity 64 should have forced drops";
 }
 
+// drain_all swaps the class queues out under the lock and frees the taken
+// packets after releasing it, while producers keep calling enqueue_burst.
+// Every accepted packet must leave exactly once (dequeued, drained, or
+// still queued at the end), and no drain may reset a counter or a
+// high-water mark.
+TEST(ConcurrencyStress, DrainAllConservesPacketsUnderBurstProducers) {
+  constexpr std::size_t kProducers = 3;
+  constexpr std::size_t kBursts = 400;
+  constexpr std::size_t kBurst = 16;
+  static constexpr datagen::FileClass kLabels[] = {
+      datagen::FileClass::kText, datagen::FileClass::kBinary,
+      datagen::FileClass::kEncrypted};
+  OutputQueues queues(/*capacity=*/64);  // small: forces refusals too
+
+  std::atomic<bool> consuming{false};  // producers start once it is up
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::size_t> producers_left{kProducers};
+  std::uint64_t dequeued = 0;
+  std::uint64_t drained = 0;
+  std::uint64_t drains = 0;
+  std::thread consumer([&] {
+    consuming.store(true, std::memory_order_release);
+    while (producers_left.load(std::memory_order_acquire) != 0) {
+      for (const datagen::FileClass label : kLabels) {
+        if (queues.dequeue(label).has_value()) ++dequeued;
+      }
+      const OutputQueueStats before = queues.stats();
+      drained += queues.drain_all();
+      ++drains;
+      // Producers only ever raise the counters; a drain must not lower them.
+      const OutputQueueStats after = queues.stats();
+      for (std::size_t c = 0; c < 3; ++c) {
+        ASSERT_GE(after.enqueued[c], before.enqueued[c]);
+        ASSERT_GE(after.dropped[c], before.dropped[c]);
+        ASSERT_GE(after.high_water[c], before.high_water[c]);
+      }
+    }
+  });
+
+  std::vector<std::thread> producers;
+  for (std::size_t prod = 0; prod < kProducers; ++prod) {
+    producers.emplace_back([&queues, &consuming, &accepted, &producers_left,
+                            prod] {
+      while (!consuming.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      std::vector<QueuedPacket> batch(kBurst);
+      for (std::size_t b = 0; b < kBursts; ++b) {
+        for (std::size_t i = 0; i < kBurst; ++i) {
+          batch[i].label = kLabels[(prod + b + i) % 3];
+          batch[i].packet = net::Packet();
+          batch[i].packet.payload.assign(64, static_cast<std::uint8_t>(i));
+        }
+        accepted.fetch_add(queues.enqueue_burst(batch),
+                           std::memory_order_relaxed);
+      }
+      producers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+
+  for (auto& t : producers) t.join();
+  consumer.join();
+
+  const OutputQueueStats final_stats = queues.stats();
+  std::uint64_t enqueued = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t final_depth = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    enqueued += final_stats.enqueued[c];
+    dropped += final_stats.dropped[c];
+    final_depth += final_stats.depth[c];
+    EXPECT_LE(final_stats.high_water[c], queues.capacity());
+    EXPECT_GT(final_stats.high_water[c], 0u);
+  }
+  EXPECT_EQ(accepted.load(), dequeued + drained + final_depth);
+  EXPECT_EQ(enqueued, accepted.load());
+  EXPECT_EQ(enqueued + dropped, kProducers * kBursts * kBurst);
+  EXPECT_GT(drains, 0u);
+
+  // A quiescent drain empties the queues and leaves every counter as is.
+  EXPECT_EQ(queues.drain_all(), final_depth);
+  const OutputQueueStats after_drain = queues.stats();
+  EXPECT_EQ(after_drain.enqueued, final_stats.enqueued);
+  EXPECT_EQ(after_drain.dropped, final_stats.dropped);
+  EXPECT_EQ(after_drain.high_water, final_stats.high_water);
+  for (const std::size_t depth : after_drain.depth) EXPECT_EQ(depth, 0u);
+}
+
 // Per-shard single-owner drive through the unlocked shard() escape hatch,
 // with concurrent aggregate polling through the locked accessors: the
 // pattern DESIGN.md documents for RSS deployment.  TSan-visible if the

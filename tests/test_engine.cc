@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "appproto/trace_headers.h"
 #include "core/trainer.h"
 #include "datagen/corpus.h"
+#include "net/trace_gen.h"
 
 namespace iustitia::core {
 namespace {
@@ -116,6 +118,30 @@ TEST(Engine, DelayRecordTracksBufferFillTime) {
   EXPECT_DOUBLE_EQ(record.classified_at, 2.25);
   EXPECT_GE(record.hash_micros, 0.0);
   EXPECT_GE(record.extract_micros, 0.0);
+}
+
+// tau_hash / tau_CDBsearch are timed on a sample of live packets and
+// charged to every miss-lane packet as a running estimate: after a
+// trace, every record carries a non-negative share and the hash share
+// is not all zeros.
+TEST(Engine, DelayRecordsCarrySampledTauAfterATrace) {
+  Iustitia engine(small_model(), small_engine_options());
+  net::TraceOptions trace_options;
+  trace_options.header_source = appproto::standard_header_source();
+  trace_options.target_packets = 3000;
+  trace_options.seed = 42;
+  const net::Trace trace = net::generate_trace(trace_options);
+  for (const Packet& p : trace.packets) engine.on_packet(p);
+  engine.flush_all();
+
+  ASSERT_FALSE(engine.delays().empty());
+  double total_hash_micros = 0.0;
+  for (const FlowDelayRecord& record : engine.delays()) {
+    ASSERT_GE(record.hash_micros, 0.0);
+    ASSERT_GE(record.cdb_micros, 0.0);
+    total_hash_micros += record.hash_micros;
+  }
+  EXPECT_GT(total_hash_micros, 0.0);
 }
 
 TEST(Engine, PureControlPacketsOnUnknownFlowAreIgnored) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Pre-merge gate: the full ctest matrix under every sanitizer preset, the
 # repo lint + analyze passes, the deadlock-debug and rt-debug
-# cross-checks, and the perf smoke.  Maps onto tier-1 verify as follows:
-# the `default` preset IS the tier-1 build/test command (same binary dir,
-# same cache), so a green ci.sh implies a green tier-1 run.
+# cross-checks, the perf smoke, and the serving benchmark's smoke.  Maps
+# onto tier-1 verify as follows: the `default` preset IS the tier-1
+# build/test command (same binary dir, same cache), so a green ci.sh
+# implies a green tier-1 run.
 #
 # Usage: tools/ci.sh [preset ...]
 #   With no arguments runs: default, asan-ubsan, tsan, then the tool stages.
@@ -340,5 +341,13 @@ IUSTITIA_TRACE_PACKETS=25000 ./build/bench/bench_e2e_throughput \
   build/BENCH_e2e_throughput.json
 python3 tools/perf_check.py build/BENCH_e2e_throughput.json \
   bench/baselines/e2e_throughput.json
+
+stage "perfbench-smoke"
+# The serving benchmark's own correctness gate: a tiny untraced and
+# traced replay of every BENCHMARK.json workload, each checked for its
+# metric names and units, zero loss and a label digest equal to the
+# single-threaded reference; then one corrupted label per workload that
+# the gate must reject.  Builds into .bench_build/ from this checkout.
+python3 perfbench/smoke.py
 
 echo "ci.sh: all presets green"
